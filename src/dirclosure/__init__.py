@@ -18,20 +18,18 @@ from .closure import (
     ALL_KEYS,
     SYMMETRIC_PAIRS,
     WEDGE_TYPES,
+    Census,
     CoefficientKey,
     NodeClosureProfile,
     average_closure,
+    census,
     check_symmetry,
-    closed_wedge_count,
     closure_profiles,
     global_closure,
-    local_closure,
-    wedge_count,
 )
 from .clustering import (
     NodeClusteringProfile,
     clustering_profiles,
-    local_clustering,
     mean_clustering,
 )
 from .extremal import ExtremalSpec, build_extremal, claimed_io_closure, node_classes
@@ -55,14 +53,12 @@ from .nullmodel import (
     SwapChainConfig,
     SwapResult,
     default_attempts,
-    double_edge_swap,
     expected_average_closure,
     expected_clustering,
     expected_global_closure,
     expected_local_closure,
     run_null_experiment,
     run_swap_chain,
-    sample_configuration_model,
     sample_seed,
 )
 

@@ -20,12 +20,13 @@ from .closure import (
     WEDGE_TYPES,
     CoefficientKey,
     average_closure,
+    census,
     closure_profiles,
     global_closure,
     wedge_label,
 )
 from .clustering import clustering_label, clustering_profiles, mean_clustering
-from .graph import DirectedGraph, degree_moments
+from .graph import IN, OUT, DirectedGraph, degree_moments
 
 FLOAT_FORMAT = ".17g"
 
@@ -64,15 +65,12 @@ def export_features(
             )
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(columns)
-    closure_profs = closure_profiles(g)
-    clustering_profs = clustering_profiles(g)
-    for u in range(g.n):
-        closure = closure_profs[u]
-        clustering = clustering_profs[u]
+    degrees = zip(g.degrees(IN).tolist(), g.degrees(OUT).tolist(), g.reciprocal_degrees().tolist())
+    for u, (closure, clustering, counts) in enumerate(zip(closure_profiles(g), clustering_profiles(g), degrees)):
         row: list[str] = [str(u), g.token(u)]
         if labels is not None:
             row.append(labels.get(g.token(u), ""))
-        row += [str(g.in_degree(u)), str(g.out_degree(u)), str(g.reciprocal_degree(u))]
+        row += [str(count) for count in counts]
         row += [format_value(closure.coefficient(key)) for key in ALL_KEYS]
         row += [format_value(clustering.coefficient(xy)) for xy in WEDGE_TYPES]
         row += ["1" if closure.defined(key.wedge_type) else "0" for key in ALL_KEYS]
@@ -179,13 +177,9 @@ def closure_correlation_matrix(g: DirectedGraph) -> CorrelationMatrix:
     """
     if g.n < 2:
         raise ValueError("correlation needs at least 2 nodes")
-    profiles = closure_profiles(g)
-    columns = np.full((g.n, len(ALL_KEYS)), np.nan)
-    for u, profile in enumerate(profiles):
-        for j, key in enumerate(ALL_KEYS):
-            value = profile.coefficient(key)
-            if value is not None:
-                columns[u, j] = value
+    per_head = census(g)
+    ratios = [(per_head.closed[key], per_head.wedges[key.wedge_type]) for key in ALL_KEYS]
+    columns = np.column_stack([np.divide(c, w, out=np.full(g.n, np.nan), where=w > 0) for c, w in ratios])
     k = len(ALL_KEYS)
     values: list[list[float | None]] = [[None] * k for _ in range(k)]
     counts: list[list[int]] = [[0] * k for _ in range(k)]

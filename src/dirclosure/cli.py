@@ -127,11 +127,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     summary = summary_report(g)
     meta = _meta(args, format=args.format)
-    if args.format == "json":
-        with _sink(args.out) as sink:
-            json.dump({"meta": meta, **summary}, sink, indent=2)
-            sink.write("\n")
-        return 0
     rows: list[list] = [["nodes", str(summary["nodes"])], ["edges", str(summary["edges"])]]
     for name, value in summary["moments"].items():
         rows.append([name, _cell(value, args.format)])
@@ -141,7 +136,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             rows.append([prefix + name, _cell(value, args.format)])
     for name, value in summary["undefined_wedge_heads"].items():
         rows.append([f"undefined_heads_{name}", str(value)])
-    _emit_rows(args, meta, ["metric", "value"], rows, {})
+    _emit_rows(args, meta, ["metric", "value"], rows, summary)
     return 0
 
 
@@ -242,11 +237,6 @@ def _cmd_nullmodel(args: argparse.Namespace) -> int:
         seed=args.seed,
         bins=args.bins,
     )
-    if args.format == "json":
-        with _sink(args.out) as sink:
-            json.dump({"meta": meta, **report.to_dict()}, sink, indent=2)
-            sink.write("\n")
-        return 0
     rows = []
     for kind, section in (("average", report.average), ("global", report.global_coefficients)):
         for key, stats in section.items():
@@ -260,7 +250,7 @@ def _cmd_nullmodel(args: argparse.Namespace) -> int:
                     _cell(stats.empirical, args.format),
                 ]
             )
-    _emit_rows(args, meta, ["kind", "coefficient", "mean", "std", "theory", "empirical"], rows, {})
+    _emit_rows(args, meta, ["kind", "coefficient", "mean", "std", "theory", "empirical"], rows, report.to_dict())
     return 0
 
 

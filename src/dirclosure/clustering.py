@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .closure import WEDGE_TYPES, WedgeType, wedge_label
-from .graph import IN, DirectedGraph
+from .closure import WEDGE_TYPES, WedgeType, census, per_node, wedge_label
+from .graph import IN, OUT, DirectedGraph
 
 
 @dataclass(frozen=True)
@@ -36,47 +36,26 @@ class NodeClusteringProfile:
             return None
         return self.closed[xy] / d
 
-    def coefficients(self) -> dict[WedgeType, float | None]:
-        return {xy: self.coefficient(xy) for xy in WEDGE_TYPES}
-
 
 def clustering_label(xy: WedgeType) -> str:
     return f"clustering_{wedge_label(xy)}"
 
 
-def local_clustering(g: DirectedGraph, u: int) -> NodeClusteringProfile:
-    """Clustering profile of center ``u`` for all four direction types.
+def clustering_profiles(g: DirectedGraph) -> list[NodeClusteringProfile]:
+    """Clustering profiles of every node, in id order.
 
     Denominators come from degree arithmetic: d_x(d_x - 1) for equal
     directions, d_x*d_y - r(u) for mixed ones (reciprocal pairs would put
-    both edges on the same neighbor). Closed counts are enumerated with
-    membership probes for the w -> v closing edge.
+    both edges on the same neighbor). Closed counts come from the census.
     """
-    g._check_node(u)
-    d_in = g.in_degree(u)
-    d_out = g.out_degree(u)
-    recip = g.reciprocal_degree(u)
-    denominators: dict[WedgeType, int] = {}
-    closed: dict[WedgeType, int] = {}
-    for x in (IN, IN.complement):
-        d_x = d_in if x is IN else d_out
-        firsts = g.neighbors(u, x)
-        for y in (IN, IN.complement):
-            d_y = d_in if y is IN else d_out
-            denominators[(x, y)] = d_x * (d_x - 1) if x is y else d_x * d_y - recip
-            seconds = g.neighbors(u, y)
-            n_closed = 0
-            for v in firsts:
-                in_v = g._in_sets[v]
-                for w in seconds:
-                    if w != v and w in in_v:
-                        n_closed += 1
-            closed[(x, y)] = n_closed
-    return NodeClusteringProfile(node=u, denominators=denominators, closed=closed)
-
-
-def clustering_profiles(g: DirectedGraph) -> list[NodeClusteringProfile]:
-    return [local_clustering(g, u) for u in range(g.n)]
+    d = {IN: g.degrees(IN), OUT: g.degrees(OUT)}
+    recip = g.reciprocal_degrees()
+    denominators = {(x, y): d[x] * (d[x] - 1) if x is y else d[x] * d[y] - recip for x, y in WEDGE_TYPES}
+    closed = census(g).clustering
+    return [
+        NodeClusteringProfile(node=u, denominators=denominator_row, closed=closed_row)
+        for u, (denominator_row, closed_row) in enumerate(zip(per_node(denominators), per_node(closed)))
+    ]
 
 
 def mean_clustering(

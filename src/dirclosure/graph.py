@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class Direction(Enum):
@@ -52,86 +55,98 @@ class LoadWarnings:
 
 
 class DirectedGraph:
-    """Simple directed graph with dual adjacency and O(1) edge membership.
+    """Simple directed graph stored as sorted out- and in-adjacency CSR arrays.
 
     Nodes are dense integers ``0..n-1``; the optional ``labels`` list maps
-    each dense id back to the original token it was parsed from.
+    each dense id back to the original token it was parsed from. Edges may
+    be given as an iterable of ``(source, destination)`` pairs or as an
+    ``(m, 2)`` integer array.
     """
 
-    __slots__ = ("n", "m", "_out", "_in", "_out_sets", "_in_sets", "labels")
+    __slots__ = ("n", "m", "_out", "_in", "labels")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray, labels: Sequence[str] | None = None):
         if n < 0:
             raise ValueError("node count must be non-negative")
         if labels is not None and len(labels) != n:
             raise ValueError("labels length must equal node count")
-        out_sets: list[set[int]] = [set() for _ in range(n)]
-        in_sets: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if v in out_sets[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            out_sets[u].add(v)
-            in_sets[v].add(u)
-            m += 1
+        if isinstance(edges, np.ndarray):
+            pairs = edges.astype(np.int64).reshape(-1, 2)
+        else:
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        outside = (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside.argmax()]
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        loops = src == dst
+        if loops.any():
+            u = src[loops.argmax()]
+            raise ValueError(f"self-loop ({u},{u}) not allowed")
+        keys = np.sort(src * n + dst)
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            u, v = divmod(int(keys[repeated.argmax()]), n)
+            raise ValueError(f"duplicate edge ({u},{v})")
         self.n = n
-        self.m = m
-        self._out_sets = out_sets
-        self._in_sets = in_sets
-        self._out = [tuple(sorted(s)) for s in out_sets]
-        self._in = [tuple(sorted(s)) for s in in_sets]
+        self.m = len(keys)
+        self._out = _csr(n, keys)
+        self._in = _csr(n, np.sort(dst * n + src))
         self.labels = list(labels) if labels is not None else None
 
-    # -- queries ---------------------------------------------------------
+    # -- whole-graph arrays (read-only) -------------------------------------
+
+    def adjacency(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays ``(ptr, idx)``: the ``direction``-neighbors of ``u`` are
+        ``idx[ptr[u]:ptr[u + 1]]`` in increasing order."""
+        return self._in if direction is IN else self._out
+
+    def degrees(self, direction: Direction) -> np.ndarray:
+        return np.diff(self.adjacency(direction)[0])
+
+    def reciprocal_degrees(self) -> np.ndarray:
+        """Per node, the number of neighbors v with both u->v and v->u."""
+        ptr, idx = self._out
+        src = np.repeat(np.arange(self.n), np.diff(ptr))
+        return np.bincount(src[np.isin(idx * self.n + src, src * self.n + idx)], minlength=self.n)
+
+    # -- per-node queries ----------------------------------------------------
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self.n):
             raise ValueError(f"node {u} out of range for n={self.n}")
 
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
+    def _row(self, u: int, direction: Direction) -> np.ndarray:
         self._check_node(u)
-        return self._out[u]
+        ptr, idx = self.adjacency(direction)
+        return idx[ptr[u] : ptr[u + 1]]
+
+    def out_neighbors(self, u: int) -> tuple[int, ...]:
+        return tuple(self._row(u, OUT).tolist())
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
-        self._check_node(u)
-        return self._in[u]
-
-    def neighbors(self, u: int, direction: Direction) -> tuple[int, ...]:
-        return self.in_neighbors(u) if direction is IN else self.out_neighbors(u)
+        return tuple(self._row(u, IN).tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
+        row = self._row(u, OUT)
         self._check_node(v)
-        return v in self._out_sets[u]
-
-    def degree(self, u: int, direction: Direction) -> int:
-        return len(self.neighbors(u, direction))
+        i = row.searchsorted(v)
+        return bool(i < row.size and row[i] == v)
 
     def in_degree(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._in[u])
+        return self._row(u, IN).size
 
     def out_degree(self, u: int) -> int:
-        self._check_node(u)
-        return len(self._out[u])
+        return self._row(u, OUT).size
 
     def reciprocal_degree(self, u: int) -> int:
         """Number of neighbors v with both u->v and v->u present."""
-        self._check_node(u)
-        out_s, in_s = self._out_sets[u], self._in_sets[u]
-        if len(out_s) > len(in_s):
-            out_s, in_s = in_s, out_s
-        return sum(1 for v in out_s if v in in_s)
+        return np.intersect1d(self._row(u, OUT), self._row(u, IN), assume_unique=True).size
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All directed edges, ordered by (source, destination)."""
-        for u in range(self.n):
-            for v in self._out[u]:
-                yield (u, v)
+        ptr, idx = self._out
+        return zip(np.repeat(np.arange(self.n), np.diff(ptr)).tolist(), idx.tolist())
 
     def token(self, u: int) -> str:
         self._check_node(u)
@@ -139,10 +154,19 @@ class DirectedGraph:
 
     def degree_pairs(self) -> list[tuple[int, int]]:
         """Joint degree sequence [(in_degree, out_degree)] over all nodes."""
-        return [(len(self._in[u]), len(self._out[u])) for u in range(self.n)]
+        return list(zip(self.degrees(IN).tolist(), self.degrees(OUT).tolist()))
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, m={self.m})"
+
+
+def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR arrays of sorted ``row * n + column`` keys."""
+    ptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    idx = keys % n
+    ptr.flags.writeable = False
+    idx.flags.writeable = False
+    return ptr, idx
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,9 @@ def load_edge_list(source: IO[str] | str | Path) -> tuple[DirectedGraph, LoadWar
     """Parse a whitespace-separated edge list into a simple directed graph.
 
     Each non-comment line holds two node tokens (source, destination); lines
-    starting with '#' and blank lines are ignored. Tokens are mapped to dense
-    ids in first-appearance order. Duplicate edges are dropped and self-loops
+    starting with '#' and blank lines are ignored, as is a UTF-8 byte-order
+    mark opening the first line. Tokens are mapped to dense ids in
+    first-appearance order. Duplicate edges are dropped and self-loops
     removed, each counted in the returned warnings. Reciprocated pairs stay
     as two edges.
     """
@@ -199,39 +224,26 @@ def load_edge_list(source: IO[str] | str | Path) -> tuple[DirectedGraph, LoadWar
             return load_edge_list(fh)
 
     ids: dict[str, int] = {}
-    labels: list[str] = []
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-    self_loops = 0
-
-    def intern(token: str) -> int:
-        idx = ids.get(token)
-        if idx is None:
-            idx = len(labels)
-            ids[token] = idx
-            labels.append(token)
-        return idx
-
+    ends: list[int] = []
     for line_number, raw in enumerate(source, start=1):
+        if line_number == 1:
+            raw = raw.removeprefix("\ufeff")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListFormatError(line_number, raw.rstrip("\n"), f"expected 2 tokens, got {len(parts)}")
-        u, v = intern(parts[0]), intern(parts[1])
-        if u == v:
-            self_loops += 1
-            continue
-        if (u, v) in seen:
-            duplicates += 1
-            continue
-        seen.add((u, v))
-        edges.append((u, v))
+        for token in parts:
+            ends.append(ids.setdefault(token, len(ids)))
 
-    graph = DirectedGraph(len(labels), edges, labels=labels)
-    return graph, LoadWarnings(duplicate_edges=duplicates, self_loops=self_loops)
+    n = len(ids)
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    kept = pairs[pairs[:, 0] != pairs[:, 1]]
+    _, first = np.unique(kept[:, 0] * n + kept[:, 1], return_index=True)
+    graph = DirectedGraph(n, kept[first], labels=list(ids))
+    repaired = LoadWarnings(duplicate_edges=len(kept) - len(first), self_loops=len(pairs) - len(kept))
+    return graph, repaired
 
 
 def write_edge_list(g: DirectedGraph, sink: IO[str]) -> None:

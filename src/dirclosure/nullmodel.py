@@ -125,13 +125,6 @@ class SwapChainConfig:
         if self.attempts < 0:
             raise ValueError("attempts must be non-negative")
 
-    @classmethod
-    def for_graph(
-        cls, g: DirectedGraph, seed: int, count_mode: CountMode = CountMode.ATTEMPTED
-    ) -> "SwapChainConfig":
-        """Default chain length: max(20 * m, 10000) attempts."""
-        return cls(attempts=default_attempts(g.m), seed=seed, count_mode=count_mode)
-
 
 def default_attempts(m: int) -> int:
     return max(20 * m, 10_000)
@@ -152,10 +145,6 @@ class EdgeSwapState:
         self.labels = g.labels
         self.edges = [u * g.n + v for u, v in g.edges()]
         self.edge_set = set(self.edges)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def attempt(self, rng: random.Random) -> SwapResult:
         """One uniform proposal: pick edge slots i, j; rewire (a->b, c->d)
@@ -192,11 +181,6 @@ class EdgeSwapState:
         return DirectedGraph(n, (divmod(e, n) for e in self.edges), labels=self.labels)
 
 
-def double_edge_swap(state: EdgeSwapState, rng: random.Random) -> SwapResult:
-    """Attempt one degree-preserving double edge swap on ``state``."""
-    return state.attempt(rng)
-
-
 def run_swap_chain(g: DirectedGraph, cfg: SwapChainConfig) -> tuple[DirectedGraph, Counter]:
     """Run one seeded swap chain from ``g``; returns (graph, outcome counts).
 
@@ -224,14 +208,6 @@ def run_swap_chain(g: DirectedGraph, cfg: SwapChainConfig) -> tuple[DirectedGrap
             counts[state.attempt(rng)] += 1
             total += 1
     return state.to_graph(), counts
-
-
-def sample_configuration_model(g: DirectedGraph, cfg: SwapChainConfig) -> DirectedGraph:
-    """One simple graph with the joint degree sequence of ``g``, sampled by
-    a seeded double-edge-swap chain. Identical (g, cfg) give identical
-    outputs."""
-    sampled, _ = run_swap_chain(g, cfg)
-    return sampled
 
 
 _MASK64 = (1 << 64) - 1
@@ -335,7 +311,7 @@ def run_null_experiment(
 
     Sample ``k`` uses an independent chain seeded with
     ``sample_seed(cfg.seed, k)``, so any sample can be reproduced on its
-    own with :func:`sample_configuration_model`.
+    own with ``run_swap_chain(g, replace(cfg, seed=sample_seed(cfg.seed, k)))``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

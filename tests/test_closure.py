@@ -14,14 +14,14 @@ from dirclosure import (
     CoefficientKey,
     DirectedGraph,
     average_closure,
+    census,
     check_symmetry,
-    closed_wedge_count,
     closure_profiles,
     degree_moments,
     global_closure,
-    local_closure,
-    wedge_count,
 )
+
+from dirclosure import closure
 
 from .conftest import random_digraph
 from .oracles import brute_closure_counts
@@ -35,16 +35,11 @@ KEY_III = CoefficientKey(IN, IN, IN)
 
 def assert_matches_oracle(g: DirectedGraph):
     wedges, closed = brute_closure_counts(list(g.edges()))
-    for u in range(g.n):
-        profile = local_closure(g, u)
+    for u, profile in enumerate(closure_profiles(g)):
         for xy in WEDGE_TYPES:
-            expected = wedges[(u, str(xy[0]), str(xy[1]))]
-            assert profile.wedges[xy] == expected
-            assert wedge_count(g, u, xy) == expected
+            assert profile.wedges[xy] == wedges[(u, str(xy[0]), str(xy[1]))]
         for key in ALL_KEYS:
-            expected = closed[(u, str(key.x), str(key.y), str(key.z))]
-            assert profile.closed[key] == expected
-            assert closed_wedge_count(g, u, key) == expected
+            assert profile.closed[key] == closed[(u, str(key.x), str(key.y), str(key.z))]
 
 
 class TestKeys:
@@ -69,24 +64,24 @@ class TestKeys:
 
 class TestWedgeCounts:
     def test_feedforward_triangle_hand_counts(self, ffw_triangle):
-        a, c = 0, 2
-        assert wedge_count(ffw_triangle, a, (OUT, OUT)) == 1
-        assert wedge_count(ffw_triangle, a, (OUT, IN)) == 1
-        assert wedge_count(ffw_triangle, a, (IN, IN)) == 0
-        assert wedge_count(ffw_triangle, c, (IN, IN)) == 1
-        assert wedge_count(ffw_triangle, c, (IN, OUT)) == 1
+        a, _, c = closure_profiles(ffw_triangle)
+        assert a.wedges[(OUT, OUT)] == 1
+        assert a.wedges[(OUT, IN)] == 1
+        assert a.wedges[(IN, IN)] == 0
+        assert c.wedges[(IN, IN)] == 1
+        assert c.wedges[(IN, OUT)] == 1
 
     def test_cycle_has_no_mixed_wedges(self, cycle3):
-        for u in range(3):
-            assert wedge_count(cycle3, u, (OUT, IN)) == 0
-            assert wedge_count(cycle3, u, (IN, OUT)) == 0
+        for profile in closure_profiles(cycle3):
+            assert profile.wedges[(OUT, IN)] == 0
+            assert profile.wedges[(IN, OUT)] == 0
 
     def test_closed_counts_on_triangle(self, ffw_triangle):
-        a, c = 0, 2
-        assert closed_wedge_count(ffw_triangle, a, KEY_OOO) == 1
-        assert closed_wedge_count(ffw_triangle, a, KEY_OOI) == 0
-        assert closed_wedge_count(ffw_triangle, c, KEY_III) == 1
-        assert closed_wedge_count(ffw_triangle, c, KEY_IOI) == 1
+        a, _, c = closure_profiles(ffw_triangle)
+        assert a.closed[KEY_OOO] == 1
+        assert a.closed[KEY_OOI] == 0
+        assert c.closed[KEY_III] == 1
+        assert c.closed[KEY_IOI] == 1
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(101)
@@ -102,22 +97,38 @@ class TestWedgeCounts:
             assert_matches_oracle(g)
 
 
+class TestCensus:
+    def test_chunked_triangle_sweep_matches_one_pass(self, monkeypatch):
+        rng = random.Random(404)
+        graphs = [random_digraph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.6)) for _ in range(10)]
+        one_pass = [census(g) for g in graphs]
+        monkeypatch.setattr(closure, "PAIR_CHUNK", 3)
+        for g, expected in zip(graphs, one_pass):
+            chunked = census(g)
+            for field in ("wedges", "closed", "clustering"):
+                for key, counts in getattr(expected, field).items():
+                    assert getattr(chunked, field)[key].tolist() == counts.tolist()
+
+    def test_edgeless_graph_counts_zero(self):
+        counts = census(DirectedGraph(4, []))
+        for field in (counts.wedges, counts.closed, counts.clustering):
+            assert all(values.tolist() == [0] * 4 for values in field.values())
+
+
 class TestLocalClosure:
     def test_triangle_profiles(self, ffw_triangle):
-        a, c = 0, 2
-        prof_a = local_closure(ffw_triangle, a)
+        prof_a, _, prof_c = closure_profiles(ffw_triangle)
         assert prof_a.coefficient(KEY_OOO) == 1.0
         assert prof_a.coefficient(KEY_OOI) == 0.0
         assert prof_a.coefficient(KEY_IOI) is None
         assert prof_a.coefficient(KEY_IOO) is None
         assert not prof_a.defined((IN, OUT))
-        prof_c = local_closure(ffw_triangle, c)
         assert prof_c.coefficient(KEY_III) == 1.0
         assert prof_c.coefficient(KEY_IOI) == 1.0
 
     def test_isolated_node_all_undefined(self):
         g = DirectedGraph(3, [(1, 2)])
-        profile = local_closure(g, 0)
+        profile = closure_profiles(g)[0]
         assert all(profile.coefficient(key) is None for key in ALL_KEYS)
 
     def test_closed_never_exceeds_wedges(self):

@@ -9,7 +9,6 @@ from dirclosure import (
     DirectedGraph,
     closure_profiles,
     clustering_profiles,
-    local_clustering,
     mean_clustering,
 )
 
@@ -20,7 +19,7 @@ from .oracles import brute_clustering_counts
 class TestLocalClustering:
     def test_feedforward_triangle_center(self, ffw_triangle):
         b = 1
-        profile = local_clustering(ffw_triangle, b)
+        profile = clustering_profiles(ffw_triangle)[b]
         assert profile.denominators[(IN, OUT)] == 1
         assert profile.coefficient((IN, OUT)) == 0.0
         assert profile.coefficient((OUT, IN)) == 1.0
@@ -30,7 +29,7 @@ class TestLocalClustering:
     def test_two_edge_star_undefined_same_direction_types(self):
         # x -> u, u -> y: only one edge in each direction at u
         g = graph_from_text("x u\nu y")
-        profile = local_clustering(g, 1)
+        profile = clustering_profiles(g)[1]
         assert profile.coefficient((IN, IN)) is None
         assert profile.coefficient((OUT, OUT)) is None
         assert profile.denominators[(IN, OUT)] == 1
@@ -38,7 +37,7 @@ class TestLocalClustering:
     def test_mixed_denominator_excludes_reciprocal_pairs(self):
         g = graph_from_text("a b\nb a\nc b")
         # at b: d_in=2, d_out=1, r=1, so mixed denominators are 2*1-1=1
-        profile = local_clustering(g, 1)
+        profile = clustering_profiles(g)[1]
         assert profile.denominators[(IN, OUT)] == 1
         assert profile.denominators[(OUT, IN)] == 1
 
@@ -48,8 +47,7 @@ class TestLocalClustering:
             n = rng.randint(1, 25)
             g = random_digraph(rng, n, rng.uniform(0.05, 0.45))
             denoms, closed = brute_clustering_counts(n, list(g.edges()))
-            for u in range(n):
-                profile = local_clustering(g, u)
+            for u, profile in enumerate(clustering_profiles(g)):
                 for xy in WEDGE_TYPES:
                     oracle_key = (u, str(xy[0]), str(xy[1]))
                     assert profile.denominators[xy] == denoms[oracle_key]

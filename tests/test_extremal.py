@@ -9,7 +9,7 @@ from dirclosure import (
     average_closure,
     build_extremal,
     claimed_io_closure,
-    local_closure,
+    closure_profiles,
     node_classes,
 )
 
@@ -74,7 +74,7 @@ class TestClaimedVersusComputed:
         claimed_i, _ = claimed_io_closure(spec)
         assert claimed_i == pytest.approx(0.2, abs=1e-15)
         g = build_extremal(spec)
-        c1_profile = local_closure(g, 0)
+        c1_profile = closure_profiles(g)[0]
         assert c1_profile.wedges[(IN, OUT)] == 4
         assert c1_profile.closed[KEY_IOI] == 1
         averages = average_closure(g)
@@ -85,8 +85,7 @@ class TestClaimedVersusComputed:
         for sizes in [(1, 1, 1, 1), (2, 1, 1, 1), (2, 3, 2, 1)]:
             g = build_extremal(ExtremalSpec(*sizes))
             wedges, closed = brute_closure_counts(list(g.edges()))
-            for u in range(g.n):
-                profile = local_closure(g, u)
+            for u, profile in enumerate(closure_profiles(g)):
                 for key in ALL_KEYS:
                     assert profile.wedges[key.wedge_type] == wedges[(u, str(key.x), str(key.y))]
                     assert profile.closed[key] == closed[(u, str(key.x), str(key.y), str(key.z))]

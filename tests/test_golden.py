@@ -75,6 +75,7 @@ def run_case(argv: list[str], out_dir: Path) -> dict[str, bytes]:
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
+@pytest.mark.filterwarnings("ignore:1 label token")  # labels.csv names a token absent from the graph
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, tmp_path):
     for name, produced in run_case(CASES[case], tmp_path).items():
@@ -95,8 +96,8 @@ if __name__ == "__main__":
     EXPECTED.mkdir(exist_ok=True)
     for path in EXPECTED.iterdir():
         path.unlink()
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as work:
         for case, argv in CASES.items():
-            for name, data in run_case(argv, Path(scratch)).items():
+            for name, data in run_case(argv, Path(work)).items():
                 (EXPECTED / f"{case}.{name}").write_bytes(data)
     print(f"wrote {len(list(EXPECTED.iterdir()))} files for {len(CASES)} cases", file=sys.stderr)

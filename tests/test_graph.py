@@ -65,18 +65,28 @@ class TestLoadEdgeList:
         g, _ = load_edge_list(io.StringIO("x y\nz x"))
         assert g.labels == ["x", "y", "z"]
 
+    def test_utf8_byte_order_mark_is_not_a_token_character(self, tmp_path):
+        text = "\ufeffa b\nb a\n"
+        path = tmp_path / "bom.txt"
+        path.write_text(text, encoding="utf-8")
+        for source in (io.StringIO(text), path):
+            g, warnings = load_edge_list(source)
+            assert g.labels == ["a", "b"]
+            assert (g.n, g.m) == (2, 2)
+            assert not warnings.any()
+
 
 class TestDirectedGraph:
     def test_degrees_on_triangle(self, ffw_triangle):
-        assert ffw_triangle.degree(0, OUT) == 2
-        assert ffw_triangle.degree(2, IN) == 2
+        assert ffw_triangle.out_degree(0) == 2
+        assert ffw_triangle.in_degree(2) == 2
         assert ffw_triangle.in_degree(0) == 0
 
     def test_degree_out_of_range(self, ffw_triangle):
         with pytest.raises(ValueError):
-            ffw_triangle.degree(3, IN)
+            ffw_triangle.in_degree(3)
         with pytest.raises(ValueError):
-            ffw_triangle.degree(-1, OUT)
+            ffw_triangle.out_degree(-1)
 
     def test_has_edge(self, ffw_triangle):
         assert ffw_triangle.has_edge(0, 2)
@@ -96,6 +106,12 @@ class TestDirectedGraph:
             DirectedGraph(2, [(0, 1), (0, 1)])
         with pytest.raises(ValueError):
             DirectedGraph(2, [(0, 5)])
+
+    def test_adjacency_arrays_are_read_only(self, ffw_triangle):
+        for direction in (IN, OUT):
+            for array in ffw_triangle.adjacency(direction):
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_adjacency_sorted_and_consistent(self):
         rng = random.Random(7)

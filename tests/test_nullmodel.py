@@ -19,7 +19,6 @@ from dirclosure import (
     average_closure,
     default_attempts,
     degree_moments,
-    double_edge_swap,
     expected_average_closure,
     expected_clustering,
     expected_global_closure,
@@ -27,7 +26,6 @@ from dirclosure import (
     global_closure,
     run_null_experiment,
     run_swap_chain,
-    sample_configuration_model,
     sample_seed,
 )
 
@@ -157,7 +155,7 @@ class TestExpectedClustering:
 class TestDoubleEdgeSwap:
     def test_unconstrained_swap(self):
         state = EdgeSwapState(graph_from_text("a b\nc d"))
-        result = double_edge_swap(state, ScriptedRng(0, 1))
+        result = state.attempt(ScriptedRng(0, 1))
         assert result is SwapResult.SWAPPED
         swapped = {tuple(divmod(e, state.n)) for e in state.edges}
         assert swapped == {(0, 3), (2, 1)}
@@ -166,7 +164,7 @@ class TestDoubleEdgeSwap:
         g = graph_from_text("a b\nc a")
         state = EdgeSwapState(g)
         before = list(state.edges)
-        result = double_edge_swap(state, ScriptedRng(0, 1))
+        result = state.attempt(ScriptedRng(0, 1))
         assert result is SwapResult.REJECTED_SELF_LOOP
         assert state.edges == before
 
@@ -176,24 +174,24 @@ class TestDoubleEdgeSwap:
         state = EdgeSwapState(g)
         assert sorted(divmod(e, state.n) for e in state.edges) == [(0, 1), (0, 3), (2, 1)]
         before = list(state.edges)
-        result = double_edge_swap(state, ScriptedRng(2, 1))
+        result = state.attempt(ScriptedRng(2, 1))
         assert result is SwapResult.REJECTED_MULTI_EDGE
         assert state.edges == before
 
     def test_same_slot_rejected(self):
         state = EdgeSwapState(graph_from_text("a b\nc d"))
-        assert double_edge_swap(state, ScriptedRng(1, 1)) is SwapResult.REJECTED_SAME_EDGE
+        assert state.attempt(ScriptedRng(1, 1)) is SwapResult.REJECTED_SAME_EDGE
 
     def test_fewer_than_two_edges_rejected(self):
         state = EdgeSwapState(graph_from_text("a b"))
         with pytest.raises(ValueError):
-            double_edge_swap(state, random.Random(0))
+            state.attempt(random.Random(0))
 
 
 class TestSwapChain:
     def test_zero_attempts_is_identity(self):
         g = graph_from_text("a b\nc d\nd a")
-        out = sample_configuration_model(g, SwapChainConfig(attempts=0, seed=5))
+        out, _ = run_swap_chain(g, SwapChainConfig(attempts=0, seed=5))
         assert list(out.edges()) == list(g.edges())
 
     def test_preserves_joint_degree_sequence_and_simplicity(self):
@@ -202,7 +200,7 @@ class TestSwapChain:
             g = random_digraph(rng, rng.randint(5, 30), 0.25)
             if g.m < 2:
                 continue
-            out = sample_configuration_model(g, SwapChainConfig(attempts=2000, seed=trial))
+            out, _ = run_swap_chain(g, SwapChainConfig(attempts=2000, seed=trial))
             assert out.degree_pairs() == g.degree_pairs()
             # DirectedGraph construction rejects loops/duplicates, so
             # rebuilding is itself the simplicity check
@@ -211,13 +209,13 @@ class TestSwapChain:
     def test_deterministic_for_equal_config(self):
         g = random_digraph(random.Random(912), 20, 0.3)
         cfg = SwapChainConfig(attempts=500, seed=99)
-        first = sample_configuration_model(g, cfg)
-        second = sample_configuration_model(g, cfg)
+        first, _ = run_swap_chain(g, cfg)
+        second, _ = run_swap_chain(g, cfg)
         assert list(first.edges()) == list(second.edges())
 
     def test_small_graph_rejected(self):
         with pytest.raises(ValueError):
-            sample_configuration_model(graph_from_text("a b"), SwapChainConfig(attempts=1, seed=0))
+            run_swap_chain(graph_from_text("a b"), SwapChainConfig(attempts=1, seed=0))
 
     def test_accepted_mode_counts_accepted(self):
         g = random_digraph(random.Random(913), 25, 0.3)
@@ -258,7 +256,7 @@ class TestNullExperiment:
         g = random_digraph(random.Random(915), 20, 0.3)
         cfg = SwapChainConfig(attempts=400, seed=3)
         report = run_null_experiment(g, 1, cfg)
-        sampled = sample_configuration_model(g, SwapChainConfig(attempts=400, seed=sample_seed(3, 0)))
+        sampled, _ = run_swap_chain(g, SwapChainConfig(attempts=400, seed=sample_seed(3, 0)))
         averages = average_closure(sampled)
         for key in ALL_KEYS:
             assert report.average[key].mean == averages[key]
@@ -297,7 +295,7 @@ class TestNullExperiment:
 
         g = random_digraph(random.Random(916), 25, 0.3)
         for k in range(5):
-            sampled = sample_configuration_model(
+            sampled, _ = run_swap_chain(
                 g, SwapChainConfig(attempts=500, seed=sample_seed(8, k))
             )
             residuals = check_symmetry(global_closure(sampled))
@@ -311,7 +309,7 @@ def test_chain_visits_small_state_space_uniformly():
     counts = {}
     n_chains = 6000
     for k in range(n_chains):
-        g = sample_configuration_model(start, SwapChainConfig(attempts=60, seed=sample_seed(5, k)))
+        g, _ = run_swap_chain(start, SwapChainConfig(attempts=60, seed=sample_seed(5, k)))
         state = tuple(g.edges())
         counts[state] = counts.get(state, 0) + 1
     assert len(counts) == 9
