@@ -131,83 +131,109 @@ def default_attempts(m: int) -> int:
 
 
 class EdgeSwapState:
-    """Mutable edge-array view of a graph used by the swap chain.
+    """Mutable edge-slot view of a graph used by the swap chain.
 
-    Edges are encoded as ``u * n + v`` ints held in both a list (uniform
-    indexing) and a set (duplicate checks). The joint degree sequence is
-    invariant under every operation.
+    Slot ``i`` holds the edge ``src[i] -> dst[i]``, in ``g.edges()`` order.
+    ``src`` never changes: a swap of slots i and j, (a->b, c->d) to
+    (a->d, c->b), exchanges ``dst[i]`` and ``dst[j]``. ``keys`` holds every
+    edge as ``u * n + v`` for the duplicate checks. The joint degree
+    sequence is invariant under every swap.
     """
 
-    __slots__ = ("n", "labels", "edges", "edge_set")
+    __slots__ = ("n", "labels", "src", "dst", "keys")
 
     def __init__(self, g: DirectedGraph):
         self.n = g.n
         self.labels = g.labels
-        self.edges = [u * g.n + v for u, v in g.edges()]
-        self.edge_set = set(self.edges)
+        edges = list(g.edges())
+        self.src = [u for u, _ in edges]
+        self.dst = [v for _, v in edges]
+        self.keys = {u * g.n + v for u, v in edges}
 
-    def attempt(self, rng: random.Random) -> SwapResult:
-        """One uniform proposal: pick edge slots i, j; rewire (a->b, c->d)
-        to (a->d, c->b) unless that makes a self-loop or duplicate edge."""
-        m = len(self.edges)
+    def run(self, rng: random.Random, attempts: int) -> tuple[int, int, int, int]:
+        """Make ``attempts`` uniform proposals; returns the count of each
+        ``SwapResult`` in member order (swapped, same slot, self-loop,
+        multi-edge).
+
+        Each proposal draws slots i then j, each exactly as
+        ``rng.randrange(m)`` would (``getrandbits(m.bit_length())``, redrawn
+        while >= m), and rewires (a->b, c->d) to (a->d, c->b) unless i == j
+        or that makes a self-loop or a duplicate edge.
+        """
+        m = len(self.src)
         if m < 2:
             raise ValueError("double edge swap needs at least 2 edges")
-        i = rng.randrange(m)
-        j = rng.randrange(m)
-        if i == j:
-            return SwapResult.REJECTED_SAME_EDGE
         n = self.n
-        e1 = self.edges[i]
-        e2 = self.edges[j]
-        a, b = divmod(e1, n)
-        c, d = divmod(e2, n)
-        if a == d or c == b:
-            return SwapResult.REJECTED_SELF_LOOP
-        p1 = a * n + d
-        p2 = c * n + b
-        edge_set = self.edge_set
-        if p1 in edge_set or p2 in edge_set:
-            return SwapResult.REJECTED_MULTI_EDGE
-        edge_set.remove(e1)
-        edge_set.remove(e2)
-        edge_set.add(p1)
-        edge_set.add(p2)
-        self.edges[i] = p1
-        self.edges[j] = p2
-        return SwapResult.SWAPPED
+        src = self.src
+        dst = self.dst
+        keys = self.keys
+        getrandbits = rng.getrandbits
+        k = m.bit_length()
+        same = loops = multi = 0
+        for _ in range(attempts):
+            i = getrandbits(k)
+            while i >= m:
+                i = getrandbits(k)
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            if i == j:
+                same += 1
+                continue
+            a = src[i]
+            b = dst[i]
+            c = src[j]
+            d = dst[j]
+            if a == d or c == b:
+                loops += 1
+                continue
+            p1 = a * n + d
+            p2 = c * n + b
+            if p1 in keys or p2 in keys:
+                multi += 1
+                continue
+            keys.remove(a * n + b)
+            keys.remove(c * n + d)
+            keys.add(p1)
+            keys.add(p2)
+            dst[i] = d
+            dst[j] = b
+        return attempts - same - loops - multi, same, loops, multi
 
     def to_graph(self) -> DirectedGraph:
-        n = self.n
-        return DirectedGraph(n, (divmod(e, n) for e in self.edges), labels=self.labels)
+        return DirectedGraph(self.n, np.column_stack((self.src, self.dst)), labels=self.labels)
 
 
 def run_swap_chain(g: DirectedGraph, cfg: SwapChainConfig) -> tuple[DirectedGraph, Counter]:
     """Run one seeded swap chain from ``g``; returns (graph, outcome counts).
 
-    In ACCEPTED mode the chain runs until ``cfg.attempts`` swaps are
-    applied, with a safety cap of 200x that many attempts so graphs
-    admitting no swap fail loudly instead of spinning.
+    The chain is ``EdgeSwapState.run`` on ``random.Random(cfg.seed)``, so its
+    slot draws are those of ``randrange(m)`` on that generator. In ACCEPTED
+    mode the chain runs until ``cfg.attempts`` swaps are applied, with a
+    safety cap of 200x that many attempts so graphs admitting no swap fail
+    loudly instead of spinning. It runs in batches of at most the swaps
+    still missing: a proposal applies at most one swap, so no batch
+    overshoots and the attempt sequence is that of one attempt at a time.
     """
     if g.m < 2:
         raise ValueError("swap sampling needs at least 2 edges")
     state = EdgeSwapState(g)
     rng = random.Random(cfg.seed)
-    counts: Counter = Counter({result: 0 for result in SwapResult})
     if cfg.count_mode is CountMode.ATTEMPTED:
-        for _ in range(cfg.attempts):
-            counts[state.attempt(rng)] += 1
+        tallies = state.run(rng, cfg.attempts)
     else:
         cap = max(200 * cfg.attempts, 1000)
-        total = 0
-        while counts[SwapResult.SWAPPED] < cfg.attempts:
+        tallies = (0, 0, 0, 0)
+        while tallies[0] < cfg.attempts:
+            total = sum(tallies)
             if total >= cap:
                 raise RuntimeError(
-                    f"only {counts[SwapResult.SWAPPED]} of {cfg.attempts} swaps "
+                    f"only {tallies[0]} of {cfg.attempts} swaps "
                     f"accepted after {total} attempts; graph may admit no swaps"
                 )
-            counts[state.attempt(rng)] += 1
-            total += 1
-    return state.to_graph(), counts
+            batch = state.run(rng, min(cfg.attempts - tallies[0], cap - total))
+            tallies = tuple(t + b for t, b in zip(tallies, batch))
+    return state.to_graph(), Counter(dict(zip(SwapResult, tallies)))
 
 
 _MASK64 = (1 << 64) - 1
@@ -315,6 +341,8 @@ def run_null_experiment(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if bins < 1:
+        raise ValueError("need at least one histogram bin")
     mom = degree_moments(g)
     base_profiles = closure_profiles(g)
     empirical_avg = average_closure(g, base_profiles)

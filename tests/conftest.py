@@ -1,5 +1,6 @@
 import io
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -51,12 +52,14 @@ def synthetic_heavy_tail_graph(
     in_rank = list(range(n))
     rng.shuffle(out_rank)
     rng.shuffle(in_rank)
-    out_w = [(offset + out_rank[u]) ** -alpha for u in range(n)]
-    in_w = [(offset + in_rank[u]) ** -alpha for u in range(n)]
+    # cumulative weights built once: choices(weights=...) rebuilds them per
+    # call (O(n) per draw) and draws the same values from them
+    out_cum = list(accumulate((offset + out_rank[u]) ** -alpha for u in range(n)))
+    in_cum = list(accumulate((offset + in_rank[u]) ** -alpha for u in range(n)))
     nodes = list(range(n))
     while len(edges) < m:
-        u = rng.choices(nodes, weights=out_w)[0]
-        v = rng.choices(nodes, weights=in_w)[0]
+        u = rng.choices(nodes, cum_weights=out_cum)[0]
+        v = rng.choices(nodes, cum_weights=in_cum)[0]
         if u != v:
             edges.add((u, v))
     return DirectedGraph(n, sorted(edges))

@@ -1,9 +1,11 @@
-"""Brute-force reference counts, independent of the library's counting code.
+"""Brute-force reference counts, independent of the library's counting code,
+and a reference swap chain, independent of the library's sampler.
 
 Everything here works from a plain edge list with set-membership lookups,
 so the only library surface it touches is ``DirectedGraph.edges()``.
 """
 
+import random
 from collections import Counter, defaultdict
 
 
@@ -95,3 +97,58 @@ def is_acyclic(n, edges):
             if indeg[v] == 0:
                 queue.append(v)
     return seen == n
+
+
+def swap_chain_reference(n, edges, attempts, seed, accepted=False):
+    """One double-edge-swap chain, one proposal at a time.
+
+    Slots hold edges as ``u * n + v``; each attempt draws slots i, j with
+    ``random.Random(seed).randrange(m)`` and rewires (a->b, c->d) to
+    (a->d, c->b) unless i == j or that makes a self-loop or a duplicate.
+    ``accepted`` runs until ``attempts`` swaps are applied, raising
+    RuntimeError after ``max(200 * attempts, 1000)`` attempts. Returns the
+    final edges in slot order and a Counter keyed by outcome name
+    ("swapped", "rejected_same_edge", "rejected_self_loop",
+    "rejected_multi_edge").
+    """
+    slots = [u * n + v for u, v in edges]
+    edge_set = set(slots)
+    m = len(slots)
+    rng = random.Random(seed)
+    counts = Counter()
+
+    def attempt():
+        i = rng.randrange(m)
+        j = rng.randrange(m)
+        if i == j:
+            return "rejected_same_edge"
+        e1 = slots[i]
+        e2 = slots[j]
+        a, b = divmod(e1, n)
+        c, d = divmod(e2, n)
+        if a == d or c == b:
+            return "rejected_self_loop"
+        p1 = a * n + d
+        p2 = c * n + b
+        if p1 in edge_set or p2 in edge_set:
+            return "rejected_multi_edge"
+        edge_set.remove(e1)
+        edge_set.remove(e2)
+        edge_set.add(p1)
+        edge_set.add(p2)
+        slots[i] = p1
+        slots[j] = p2
+        return "swapped"
+
+    if not accepted:
+        for _ in range(attempts):
+            counts[attempt()] += 1
+    else:
+        cap = max(200 * attempts, 1000)
+        total = 0
+        while counts["swapped"] < attempts:
+            if total >= cap:
+                raise RuntimeError(f"only {counts['swapped']} swaps after {total} attempts")
+            counts[attempt()] += 1
+            total += 1
+    return [divmod(e, n) for e in slots], counts

@@ -29,7 +29,10 @@ from dirclosure import (
     sample_seed,
 )
 
+from dirclosure import nullmodel
+
 from .conftest import graph_from_text, random_digraph
+from .oracles import swap_chain_reference
 
 # Table-style inputs for the closed-form checks: size and second-order
 # moments only, no dataset needed.
@@ -37,15 +40,19 @@ LAWYER_MOMENTS = DegreeMoments(n=71, m=892, m_ii=227.41, m_io=166.15, m_oo=208.6
 
 
 class ScriptedRng:
-    """Stand-in rng whose randrange() replays a fixed script."""
+    """Stand-in rng whose getrandbits() replays a fixed script."""
 
     def __init__(self, *values):
         self.values = list(values)
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         value = self.values.pop(0)
-        assert 0 <= value < n
+        assert 0 <= value < 2**k
         return value
+
+
+def slots(state):
+    return list(zip(state.src, state.dst)), set(state.keys)
 
 
 class TestExpectedLocal:
@@ -155,37 +162,37 @@ class TestExpectedClustering:
 class TestDoubleEdgeSwap:
     def test_unconstrained_swap(self):
         state = EdgeSwapState(graph_from_text("a b\nc d"))
-        result = state.attempt(ScriptedRng(0, 1))
-        assert result is SwapResult.SWAPPED
-        swapped = {tuple(divmod(e, state.n)) for e in state.edges}
-        assert swapped == {(0, 3), (2, 1)}
+        assert state.run(ScriptedRng(0, 1), 1) == (1, 0, 0, 0)
+        edges, keys = slots(state)
+        assert set(edges) == {(0, 3), (2, 1)}
+        assert keys == {0 * 4 + 3, 2 * 4 + 1}
 
     def test_self_loop_rejected(self):
         g = graph_from_text("a b\nc a")
         state = EdgeSwapState(g)
-        before = list(state.edges)
-        result = state.attempt(ScriptedRng(0, 1))
-        assert result is SwapResult.REJECTED_SELF_LOOP
-        assert state.edges == before
+        before = slots(state)
+        assert state.run(ScriptedRng(0, 1), 1) == (0, 0, 1, 0)
+        assert slots(state) == before
 
     def test_duplicate_rejected(self):
         # edges a->b, a->d, c->b; swapping (c->b, a->d) would recreate a->b
         g = graph_from_text("a b\nc b\na d")
         state = EdgeSwapState(g)
-        assert sorted(divmod(e, state.n) for e in state.edges) == [(0, 1), (0, 3), (2, 1)]
-        before = list(state.edges)
-        result = state.attempt(ScriptedRng(2, 1))
-        assert result is SwapResult.REJECTED_MULTI_EDGE
-        assert state.edges == before
+        assert slots(state)[0] == [(0, 1), (0, 3), (2, 1)]
+        before = slots(state)
+        assert state.run(ScriptedRng(2, 1), 1) == (0, 0, 0, 1)
+        assert slots(state) == before
 
     def test_same_slot_rejected(self):
         state = EdgeSwapState(graph_from_text("a b\nc d"))
-        assert state.attempt(ScriptedRng(1, 1)) is SwapResult.REJECTED_SAME_EDGE
+        before = slots(state)
+        assert state.run(ScriptedRng(1, 1), 1) == (0, 1, 0, 0)
+        assert slots(state) == before
 
     def test_fewer_than_two_edges_rejected(self):
         state = EdgeSwapState(graph_from_text("a b"))
         with pytest.raises(ValueError):
-            state.attempt(random.Random(0))
+            state.run(random.Random(0), 1)
 
 
 class TestSwapChain:
@@ -228,6 +235,35 @@ class TestSwapChain:
         cfg = SwapChainConfig(attempts=1, seed=1, count_mode=CountMode.ACCEPTED)
         with pytest.raises(RuntimeError):
             run_swap_chain(ffw_triangle, cfg)
+
+    def test_matches_reference_chain(self):
+        # at m = 2^k a slot draw takes k + 1 bits and half the draws are
+        # redrawn; m = 2^k + 1 takes as many bits with fewer redraws
+        rng = random.Random(917)
+        graphs = [random_digraph(rng, rng.randint(3, 25), rng.uniform(0.05, 0.4)) for _ in range(12)]
+        pairs = [(u, v) for u in range(6) for v in range(6) if u != v]
+        for m in (2, 3, 4, 8, 9, 16, 17):
+            for _ in range(3):
+                graphs.append(DirectedGraph(6, rng.sample(pairs, m)))
+        for index, g in enumerate(graphs):
+            if g.m < 2:
+                continue
+            for mode, attempts in ((CountMode.ATTEMPTED, 300), (CountMode.ACCEPTED, 40)):
+                cfg = SwapChainConfig(attempts=attempts, seed=index, count_mode=mode)
+                accepted = mode is CountMode.ACCEPTED
+                try:
+                    ref_edges, ref_counts = swap_chain_reference(
+                        g.n, list(g.edges()), attempts, index, accepted
+                    )
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        run_swap_chain(g, cfg)
+                    continue
+                out, counts = run_swap_chain(g, cfg)
+                assert list(out.edges()) == sorted(ref_edges)
+                assert {r.value: c for r, c in counts.items()} == {
+                    r.value: ref_counts[r.value] for r in SwapResult
+                }
 
     def test_default_attempts_floor(self):
         assert default_attempts(10) == 10_000
@@ -289,6 +325,16 @@ class TestNullExperiment:
         g, cfg, _ = experiment
         with pytest.raises(ValueError):
             run_null_experiment(g, 0, cfg)
+
+    def test_rejects_zero_bins_before_sampling(self, experiment, monkeypatch):
+        g, cfg, _ = experiment
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("swap chain ran before bins were checked")
+
+        monkeypatch.setattr(nullmodel, "run_swap_chain", no_chain)
+        with pytest.raises(ValueError, match="bin"):
+            run_null_experiment(g, 3, cfg, bins=0)
 
     def test_sampled_graphs_keep_symmetry_property(self):
         from dirclosure import check_symmetry
