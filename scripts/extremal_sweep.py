@@ -24,6 +24,7 @@ from dirclosure import (  # noqa: E402
     ExtremalSpec,
     average_closure,
     build_extremal,
+    census,
     claimed_io_closure,
 )
 
@@ -44,7 +45,7 @@ def main():
         spec = ExtremalSpec(*sizes)
         graph = build_extremal(spec)
         claimed_i, claimed_o = claimed_io_closure(spec)
-        averages = average_closure(graph)
+        averages = average_closure(census(graph))
         print(
             f"{k:>3} {str(sizes):>16} {graph.n:>5} {graph.m:>6} "
             f"{claimed_i:>10.4f} {claimed_o:>10.4f} "

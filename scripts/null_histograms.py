@@ -28,9 +28,15 @@ from dirclosure import (  # noqa: E402
 )
 
 
+def fmt(value):
+    """Four decimals, or NA for a missing value (std of one sample, an
+    empirical coefficient undefined on the input)."""
+    return "NA" if value is None else f"{value:.4f}"
+
+
 def render_histogram(label, stats, width=48):
-    lines = [f"{label}: mean={stats.mean:.4f} std={stats.std:.4f} "
-             f"theory={stats.theory:.4f} empirical={stats.empirical:.4f}"]
+    lines = [f"{label}: mean={fmt(stats.mean)} std={fmt(stats.std)} "
+             f"theory={fmt(stats.theory)} empirical={fmt(stats.empirical)}"]
     if not stats.hist_counts:
         return lines
     peak = max(stats.hist_counts) or 1

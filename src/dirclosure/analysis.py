@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Mapping
 
 import numpy as np
@@ -18,14 +19,14 @@ import numpy as np
 from .closure import (
     ALL_KEYS,
     WEDGE_TYPES,
+    Census,
     CoefficientKey,
     average_closure,
     census,
-    closure_profiles,
     global_closure,
     wedge_label,
 )
-from .clustering import clustering_label, clustering_profiles, mean_clustering
+from .clustering import clustering_label, mean_clustering
 from .graph import IN, OUT, DirectedGraph, degree_moments
 
 FLOAT_FORMAT = ".17g"
@@ -44,6 +45,32 @@ FEATURE_COLUMNS: tuple[str, ...] = (
 )
 
 
+def _int_cells(values: np.ndarray) -> list[str]:
+    return [str(v) for v in values.tolist()]
+
+
+def _ratio_cells(closed: np.ndarray, total: np.ndarray) -> list[str]:
+    """closed/total per node in ``FLOAT_FORMAT``, empty where total is 0."""
+    ratios = (closed / np.maximum(total, 1)).tolist()
+    return [format_value(r) if t > 0 else "" for r, t in zip(ratios, total.tolist())]
+
+
+def _flag_cells(total: np.ndarray) -> list[str]:
+    return ["1" if t > 0 else "0" for t in total.tolist()]
+
+
+def _node_columns(g: DirectedGraph) -> dict[str, list[str]]:
+    return {"dense_id": [str(u) for u in range(g.n)], "token": [g.token(u) for u in range(g.n)]}
+
+
+def _write_columns(columns: dict[str, list[str]], sink: IO[str]) -> int:
+    """Write named per-node columns as CSV (returns the row count)."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    return len(columns["dense_id"])
+
+
 def export_features(
     g: DirectedGraph, labels: Mapping[str, str] | None, sink: IO[str]
 ) -> int:
@@ -53,80 +80,65 @@ def export_features(
     after ``token`` when a token->label mapping is given. Label tokens not
     present in the graph are skipped with a warning.
     """
-    columns = list(FEATURE_COLUMNS)
+    columns = _node_columns(g)
     if labels is not None:
-        columns.insert(2, "label")
-        known = {g.token(u) for u in range(g.n)}
-        missing = sorted(set(labels) - known)
+        missing = sorted(set(labels) - set(columns["token"]))
         if missing:
             warnings.warn(
                 f"{len(missing)} label token(s) not present in the graph, skipped: "
                 f"{', '.join(missing[:5])}{'...' if len(missing) > 5 else ''}"
             )
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(columns)
-    degrees = zip(g.degrees(IN).tolist(), g.degrees(OUT).tolist(), g.reciprocal_degrees().tolist())
-    for u, (closure, clustering, counts) in enumerate(zip(closure_profiles(g), clustering_profiles(g), degrees)):
-        row: list[str] = [str(u), g.token(u)]
-        if labels is not None:
-            row.append(labels.get(g.token(u), ""))
-        row += [str(count) for count in counts]
-        row += [format_value(closure.coefficient(key)) for key in ALL_KEYS]
-        row += [format_value(clustering.coefficient(xy)) for xy in WEDGE_TYPES]
-        row += ["1" if closure.defined(key.wedge_type) else "0" for key in ALL_KEYS]
-        row += ["1" if clustering.defined(xy) else "0" for xy in WEDGE_TYPES]
-        writer.writerow(row)
-    return g.n
+        columns["label"] = [labels.get(token, "") for token in columns["token"]]
+    counts = census(g)
+    columns["d_in"] = _int_cells(g.degrees(IN))
+    columns["d_out"] = _int_cells(g.degrees(OUT))
+    columns["d_recip"] = _int_cells(g.reciprocal_degrees())
+    for key in ALL_KEYS:
+        columns[key.label] = _ratio_cells(counts.closed[key], counts.wedges[key.wedge_type])
+    for xy in WEDGE_TYPES:
+        columns[clustering_label(xy)] = _ratio_cells(counts.clustering[xy], counts.pairs[xy])
+    for key in ALL_KEYS:
+        columns[f"{key.label}_defined"] = _flag_cells(counts.wedges[key.wedge_type])
+    for xy in WEDGE_TYPES:
+        columns[f"{clustering_label(xy)}_defined"] = _flag_cells(counts.pairs[xy])
+    return _write_columns(columns, sink)
 
 
-def write_closure_csv(g: DirectedGraph, sink: IO[str]) -> int:
+def write_closure_csv(g: DirectedGraph, counts: Census, sink: IO[str]) -> int:
     """Per-node closure detail: wedge counts, closed counts, coefficients."""
-    columns = (
-        ["dense_id", "token"]
-        + [f"wedges_{wedge_label(xy)}" for xy in WEDGE_TYPES]
-        + [f"closed_{key.label.removeprefix('closure_')}" for key in ALL_KEYS]
-        + [key.label for key in ALL_KEYS]
-        + [f"defined_{wedge_label(xy)}" for xy in WEDGE_TYPES]
-    )
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(columns)
-    for profile in closure_profiles(g):
-        u = profile.node
-        row = [str(u), g.token(u)]
-        row += [str(profile.wedges[xy]) for xy in WEDGE_TYPES]
-        row += [str(profile.closed[key]) for key in ALL_KEYS]
-        row += [format_value(profile.coefficient(key)) for key in ALL_KEYS]
-        row += ["1" if profile.defined(xy) else "0" for xy in WEDGE_TYPES]
-        writer.writerow(row)
-    return g.n
+    columns = _node_columns(g)
+    for xy in WEDGE_TYPES:
+        columns[f"wedges_{wedge_label(xy)}"] = _int_cells(counts.wedges[xy])
+    for key in ALL_KEYS:
+        columns[f"closed_{key.label.removeprefix('closure_')}"] = _int_cells(counts.closed[key])
+    for key in ALL_KEYS:
+        columns[key.label] = _ratio_cells(counts.closed[key], counts.wedges[key.wedge_type])
+    for xy in WEDGE_TYPES:
+        columns[f"defined_{wedge_label(xy)}"] = _flag_cells(counts.wedges[xy])
+    return _write_columns(columns, sink)
 
 
-def write_clustering_csv(g: DirectedGraph, sink: IO[str]) -> int:
+def write_clustering_csv(g: DirectedGraph, counts: Census, sink: IO[str]) -> int:
     """Per-node clustering detail: denominators, closed counts, coefficients."""
-    columns = (
-        ["dense_id", "token"]
-        + [f"pairs_{wedge_label(xy)}" for xy in WEDGE_TYPES]
-        + [f"closed_{wedge_label(xy)}" for xy in WEDGE_TYPES]
-        + [clustering_label(xy) for xy in WEDGE_TYPES]
-        + [f"defined_{wedge_label(xy)}" for xy in WEDGE_TYPES]
-    )
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(columns)
-    for profile in clustering_profiles(g):
-        u = profile.node
-        row = [str(u), g.token(u)]
-        row += [str(profile.denominators[xy]) for xy in WEDGE_TYPES]
-        row += [str(profile.closed[xy]) for xy in WEDGE_TYPES]
-        row += [format_value(profile.coefficient(xy)) for xy in WEDGE_TYPES]
-        row += ["1" if profile.defined(xy) else "0" for xy in WEDGE_TYPES]
-        writer.writerow(row)
-    return g.n
+    columns = _node_columns(g)
+    for xy in WEDGE_TYPES:
+        columns[f"pairs_{wedge_label(xy)}"] = _int_cells(counts.pairs[xy])
+    for xy in WEDGE_TYPES:
+        columns[f"closed_{wedge_label(xy)}"] = _int_cells(counts.clustering[xy])
+    for xy in WEDGE_TYPES:
+        columns[clustering_label(xy)] = _ratio_cells(counts.clustering[xy], counts.pairs[xy])
+    for xy in WEDGE_TYPES:
+        columns[f"defined_{wedge_label(xy)}"] = _flag_cells(counts.pairs[xy])
+    return _write_columns(columns, sink)
 
 
 def read_labels(source: IO[str]) -> dict[str, str]:
-    """Read a two-column CSV ``token,label``; a literal header row is allowed."""
+    """Read a two-column CSV ``token,label``; a literal header row is allowed,
+    as is a UTF-8 byte-order mark opening the first line."""
+    lines = iter(source)
+    first = next(lines, "").removeprefix("\ufeff")
     out: dict[str, str] = {}
-    for i, row in enumerate(csv.reader(source)):
+    for i, row in enumerate(csv.reader(chain([first], lines))):
         if not row:
             continue
         if len(row) != 2:
@@ -222,13 +234,11 @@ def summary_report(g: DirectedGraph) -> dict:
     if g.n == 0:
         raise ValueError("summary undefined for an empty graph")
     mom = degree_moments(g)
-    profiles = closure_profiles(g)
-    averages = average_closure(g, profiles)
-    globals_ = global_closure(g, profiles)
-    means = mean_clustering(g)
-    undefined = {
-        wedge_label(xy): sum(1 for p in profiles if p.wedges[xy] == 0) for xy in WEDGE_TYPES
-    }
+    counts = census(g)
+    averages = average_closure(counts)
+    globals_ = global_closure(counts)
+    means = mean_clustering(counts)
+    undefined = {wedge_label(xy): int((counts.wedges[xy] == 0).sum()) for xy in WEDGE_TYPES}
     return {
         "nodes": g.n,
         "edges": g.m,

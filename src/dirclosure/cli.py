@@ -33,8 +33,8 @@ from .closure import (
     WEDGE_TYPES,
     CoefficientKey,
     average_closure,
+    census,
     check_symmetry,
-    closure_profiles,
     global_closure,
 )
 from .clustering import clustering_label, mean_clustering
@@ -142,15 +142,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    profiles = closure_profiles(g)
-    averages = average_closure(g, profiles)
-    globals_ = global_closure(g, profiles)
+    counts = census(g)
+    averages = average_closure(counts)
+    globals_ = global_closure(counts)
     residuals = check_symmetry(globals_)
     meta = _meta(args, format=args.format)
     if args.per_node:
         with open(args.per_node, "w", encoding="utf-8", newline="") as fh:
             _write_comment_meta(fh, _meta(args, document="per_node_closure"))
-            write_closure_csv(g, fh)
+            write_closure_csv(g, counts, fh)
     rows = []
     for key in ALL_KEYS:
         rows.append(["average", key.label, _cell(averages[key], args.format)])
@@ -169,12 +169,13 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_clustering(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    means = mean_clustering(g)
+    counts = census(g)
+    means = mean_clustering(counts)
     meta = _meta(args, format=args.format)
     if args.per_node:
         with open(args.per_node, "w", encoding="utf-8", newline="") as fh:
             _write_comment_meta(fh, _meta(args, document="per_node_clustering"))
-            write_clustering_csv(g, fh)
+            write_clustering_csv(g, counts, fh)
     rows = [[clustering_label(xy), _cell(means[xy], args.format)] for xy in WEDGE_TYPES]
     json_doc = {"mean_clustering": {clustering_label(xy): means[xy] for xy in WEDGE_TYPES}}
     _emit_rows(args, meta, ["coefficient", "value"], rows, json_doc)
@@ -274,7 +275,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
             for u, cls in enumerate(node_classes(spec)):
                 fh.write(f"{g.token(u)},{cls}\n")
     claimed_i, claimed_o = claimed_io_closure(spec)
-    averages = average_closure(g)
+    averages = average_closure(census(g))
     computed_i = averages[CoefficientKey(IN, OUT, IN)]
     computed_o = averages[CoefficientKey(IN, OUT, OUT)]
     rows = [

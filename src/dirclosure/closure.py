@@ -94,14 +94,20 @@ class Census:
     """Per-node wedge counts of a graph, as int64 arrays indexed by node.
 
     ``wedges[xy]`` counts xy-wedges by head and ``closed[key]`` the z-closed
-    ones among them. ``clustering[xy]`` counts closed center-based xy-wedges
-    by center: the same closed wedges as ``closed[(complement(x), y, IN)]``,
+    ones among them. ``pairs[xy]`` counts center-based xy-wedges by center
+    (the clustering denominators) and ``clustering[xy]`` the closed ones
+    among them: the same closed wedges as ``closed[(complement(x), y, IN)]``,
     credited to the center instead of the head.
     """
 
     wedges: dict[WedgeType, np.ndarray]
     closed: dict[CoefficientKey, np.ndarray]
+    pairs: dict[WedgeType, np.ndarray]
     clustering: dict[WedgeType, np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return self.wedges[WEDGE_TYPES[0]].size
 
 
 def census(g: DirectedGraph) -> Census:
@@ -109,12 +115,15 @@ def census(g: DirectedGraph) -> Census:
 
     Wedge counts come from degree arithmetic: a head's xy-wedges through
     center v number d_y(v), less one when the head is itself a
-    y-neighbor of v. Closed wedges all lie in triangles of the underlying
-    undirected graph. Orienting each pair from lower to higher (degree, id)
-    rank finds every triangle once, at its lowest-ranked node, among pairs
-    of that node's forward neighbors (O(m^1.5) checks); each of the six
-    (head, center, tail) orderings of a triangle then closes a wedge of
-    key (x, y, z) exactly when its three directed edges are present.
+    y-neighbor of v. A center u has d_x(u)(d_x(u) - 1) xy-pairs when the
+    two directions are equal and d_x(u)d_y(u) - r(u) when they differ (a
+    reciprocal pair would put both edges on the same neighbor). Closed
+    wedges all lie in triangles of the underlying undirected graph.
+    Orienting each pair from lower to higher (degree, id) rank finds every
+    triangle once, at its lowest-ranked node, among pairs of that node's
+    forward neighbors (O(m^1.5) checks); each of the six (head, center,
+    tail) orderings of a triangle then closes a wedge of key (x, y, z)
+    exactly when its three directed edges are present.
     """
     n = g.n
     nodes = np.arange(n)
@@ -134,9 +143,14 @@ def census(g: DirectedGraph) -> Census:
             head_is_tail = has_arc(heads, centers) if y is IN else has_arc(centers, heads)
             sums = np.concatenate(([0], np.cumsum(degrees[y][centers] - head_is_tail)))
             wedges[(x, y)] = sums[ptr[1:]] - sums[ptr[:-1]]
+    recip = g.reciprocal_degrees()
     counts = Census(
         wedges=wedges,
         closed={key: np.zeros(n, dtype=np.int64) for key in ALL_KEYS},
+        pairs={
+            (x, y): degrees[x] * (degrees[x] - 1) if x is y else degrees[x] * degrees[y] - recip
+            for x, y in WEDGE_TYPES
+        },
         clustering={xy: np.zeros(n, dtype=np.int64) for xy in WEDGE_TYPES},
     )
 
@@ -195,44 +209,34 @@ def closure_profiles(g: DirectedGraph) -> list[NodeClosureProfile]:
     ]
 
 
-def average_closure(
-    g: DirectedGraph, profiles: list[NodeClosureProfile] | None = None
-) -> dict[CoefficientKey, float]:
-    """Node-mean of each local coefficient, counting undefined ones as 0.
+def node_mean(closed: np.ndarray, total: np.ndarray) -> float:
+    """Mean of closed/total over all nodes, counting total == 0 as 0.
 
-    Uses an exact (order-insensitive) float sum, so the result does not
-    depend on node ordering or any partitioning of the node sweep.
+    The sum is exact (``math.fsum``), so the result does not depend on node
+    order; every count is an integer below 2^53 and float64 division is
+    correctly rounded, so each term equals Python's ``int / int``.
     """
-    if g.n == 0:
+    ok = total > 0
+    return math.fsum((closed[ok] / total[ok]).tolist()) / total.size
+
+
+def average_closure(counts: Census) -> dict[CoefficientKey, float]:
+    """Node-mean of each local coefficient, counting undefined ones as 0."""
+    if counts.n == 0:
         raise ValueError("average closure undefined for an empty graph")
-    if profiles is None:
-        profiles = closure_profiles(g)
-    out: dict[CoefficientKey, float] = {}
-    for key in ALL_KEYS:
-        xy = key.wedge_type
-        terms = [p.closed[key] / p.wedges[xy] for p in profiles if p.wedges[xy] > 0]
-        out[key] = math.fsum(terms) / g.n
-    return out
+    return {key: node_mean(counts.closed[key], counts.wedges[key.wedge_type]) for key in ALL_KEYS}
 
 
-def global_closure(
-    g: DirectedGraph, profiles: list[NodeClosureProfile] | None = None
-) -> dict[CoefficientKey, float | None]:
+def global_closure(counts: Census) -> dict[CoefficientKey, float | None]:
     """Closed-wedge fraction over the whole graph, per coefficient key.
 
-    Integer totals are accumulated before the single division; a key whose
+    Integer totals are summed before the single division; a key whose
     wedge total is zero maps to None.
     """
-    if profiles is None:
-        profiles = closure_profiles(g)
-    wedge_totals = {xy: sum(p.wedges[xy] for p in profiles) for xy in WEDGE_TYPES}
     out: dict[CoefficientKey, float | None] = {}
     for key in ALL_KEYS:
-        denom = wedge_totals[key.wedge_type]
-        if denom == 0:
-            out[key] = None
-        else:
-            out[key] = sum(p.closed[key] for p in profiles) / denom
+        denom = int(counts.wedges[key.wedge_type].sum())
+        out[key] = int(counts.closed[key].sum()) / denom if denom else None
     return out
 
 

@@ -11,12 +11,11 @@ head-based ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .closure import WEDGE_TYPES, WedgeType, census, per_node, wedge_label
-from .graph import IN, OUT, DirectedGraph
+from .closure import WEDGE_TYPES, Census, WedgeType, census, node_mean, per_node, wedge_label
+from .graph import DirectedGraph
 
 
 @dataclass(frozen=True)
@@ -42,32 +41,16 @@ def clustering_label(xy: WedgeType) -> str:
 
 
 def clustering_profiles(g: DirectedGraph) -> list[NodeClusteringProfile]:
-    """Clustering profiles of every node, in id order.
-
-    Denominators come from degree arithmetic: d_x(d_x - 1) for equal
-    directions, d_x*d_y - r(u) for mixed ones (reciprocal pairs would put
-    both edges on the same neighbor). Closed counts come from the census.
-    """
-    d = {IN: g.degrees(IN), OUT: g.degrees(OUT)}
-    recip = g.reciprocal_degrees()
-    denominators = {(x, y): d[x] * (d[x] - 1) if x is y else d[x] * d[y] - recip for x, y in WEDGE_TYPES}
-    closed = census(g).clustering
+    """Clustering profiles of every node, in id order, read from the census."""
+    counts = census(g)
     return [
         NodeClusteringProfile(node=u, denominators=denominator_row, closed=closed_row)
-        for u, (denominator_row, closed_row) in enumerate(zip(per_node(denominators), per_node(closed)))
+        for u, (denominator_row, closed_row) in enumerate(zip(per_node(counts.pairs), per_node(counts.clustering)))
     ]
 
 
-def mean_clustering(
-    g: DirectedGraph, profiles: list[NodeClusteringProfile] | None = None
-) -> dict[WedgeType, float]:
+def mean_clustering(counts: Census) -> dict[WedgeType, float]:
     """Node-mean of each clustering coefficient with undefined taken as 0."""
-    if g.n == 0:
+    if counts.n == 0:
         raise ValueError("mean clustering undefined for an empty graph")
-    if profiles is None:
-        profiles = clustering_profiles(g)
-    out: dict[WedgeType, float] = {}
-    for xy in WEDGE_TYPES:
-        terms = [p.closed[xy] / p.denominators[xy] for p in profiles if p.denominators[xy] > 0]
-        out[xy] = math.fsum(terms) / g.n
-    return out
+    return {xy: node_mean(counts.clustering[xy], counts.pairs[xy]) for xy in WEDGE_TYPES}

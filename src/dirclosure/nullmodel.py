@@ -23,7 +23,7 @@ from .closure import (
     CoefficientKey,
     WedgeType,
     average_closure,
-    closure_profiles,
+    census,
     global_closure,
 )
 from .graph import IN, DirectedGraph, DegreeMoments, degree_moments
@@ -344,20 +344,20 @@ def run_null_experiment(
     if bins < 1:
         raise ValueError("need at least one histogram bin")
     mom = degree_moments(g)
-    base_profiles = closure_profiles(g)
-    empirical_avg = average_closure(g, base_profiles)
-    empirical_glob = global_closure(g, base_profiles)
+    base = census(g)
+    empirical_avg = average_closure(base)
+    empirical_glob = global_closure(base)
 
     avg_values: dict[CoefficientKey, list[float]] = {key: [] for key in ALL_KEYS}
     glob_values: dict[CoefficientKey, list[float]] = {key: [] for key in ALL_KEYS}
     totals: Counter = Counter({result: 0 for result in SwapResult})
     for index in range(samples):
-        sampled, counts = run_swap_chain(g, replace(cfg, seed=sample_seed(cfg.seed, index)))
-        totals.update(counts)
-        profiles = closure_profiles(sampled)
-        for key, value in average_closure(sampled, profiles).items():
+        sampled, outcomes = run_swap_chain(g, replace(cfg, seed=sample_seed(cfg.seed, index)))
+        totals.update(outcomes)
+        counts = census(sampled)
+        for key, value in average_closure(counts).items():
             avg_values[key].append(value)
-        for key, value in global_closure(sampled, profiles).items():
+        for key, value in global_closure(counts).items():
             if value is not None:
                 glob_values[key].append(value)
 

@@ -24,16 +24,17 @@ from dirclosure import (
     SwapChainConfig,
     average_closure,
     build_extremal,
+    census,
     check_symmetry,
     claimed_io_closure,
     closure_profiles,
+    clustering_profiles,
     degree_moments,
     edge_label_tallies,
     expected_average_closure,
     expected_global_closure,
     expected_local_closure,
     global_closure,
-    clustering_profiles,
     load_edge_list,
     mean_clustering,
     run_null_experiment,
@@ -91,17 +92,17 @@ def test_criterion_1_symmetry():
     checked = 0
     for _ in range(400):
         g = random_digraph(rng, rng.randint(2, 60), rng.uniform(0.02, 0.15))
-        residuals = check_symmetry(global_closure(g))
+        residuals = check_symmetry(global_closure(census(g)))
         assert all(r <= 1e-12 for r in residuals.values())
         checked += 1
     for _ in range(100):
         g = random_digraph(rng, rng.randint(2, 12), 0.5)
-        residuals = check_symmetry(global_closure(g))
+        residuals = check_symmetry(global_closure(census(g)))
         assert all(r <= 1e-12 for r in residuals.values())
         checked += 1
     datasets = _available_datasets()
     for label, g in datasets:
-        residuals = check_symmetry(global_closure(g))
+        residuals = check_symmetry(global_closure(census(g)))
         assert all(r <= 1e-12 for r in residuals.values()), label
         checked += 1
     elapsed = time.perf_counter() - start
@@ -139,7 +140,7 @@ def test_criterion_3_soc_lawyer_reproduction(soc_lawyer):
     assert mom.m_ii == pytest.approx(227.41, abs=0.01)
     assert mom.m_io == pytest.approx(166.15, abs=0.01)
     assert mom.m_oo == pytest.approx(208.65, abs=0.01)
-    averages = average_closure(soc_lawyer)
+    averages = average_closure(census(soc_lawyer))
     assert averages[KEY_IOI] == pytest.approx(0.263, abs=0.001)
     assert averages[KEY_IOO] == pytest.approx(0.362, abs=0.001)
     _report(3, "soc-Lawyer sizes, moments, and io-closure averages reproduced")
@@ -207,7 +208,7 @@ def test_criterion_6_clustering_correspondence(null_base_graph):
         sampled, _ = run_swap_chain(
             g, SwapChainConfig(attempts=NULL_ATTEMPTS, seed=sample_seed(NULL_SEED, index))
         )
-        for xy, value in mean_clustering(sampled).items():
+        for xy, value in mean_clustering(census(sampled)).items():
             sums[xy].append(value)
     worst = 0.0
     for xy in WEDGE_TYPES:
@@ -253,14 +254,14 @@ def test_criterion_7_expectation_summation_identity():
 def test_criterion_8_extremal_construction():
     singleton = ExtremalSpec(1, 1, 1, 1)
     claimed = claimed_io_closure(singleton)
-    averages = average_closure(build_extremal(singleton))
+    averages = average_closure(census(build_extremal(singleton)))
     assert claimed == (0.125, 0.125)
     assert averages[KEY_IOI] == 0.125
     assert averages[KEY_IOO] == 0.125
 
     doubled = ExtremalSpec(2, 1, 1, 1)
     claimed_i, _ = claimed_io_closure(doubled)
-    computed = average_closure(build_extremal(doubled))[KEY_IOI]
+    computed = average_closure(census(build_extremal(doubled)))[KEY_IOI]
     assert claimed_i == pytest.approx(0.2, abs=1e-15)
     assert computed == pytest.approx(0.1, abs=1e-15)
     # the tool must flag the divergence rather than merge the two numbers

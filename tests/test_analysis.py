@@ -14,6 +14,7 @@ from dirclosure import (
     CoefficientKey,
     DirectedGraph,
     average_closure,
+    census,
     check_symmetry,
     closure_correlation_matrix,
     closure_profiles,
@@ -167,7 +168,7 @@ class TestFeatureExport:
 class TestPerNodeCsv:
     def test_closure_csv_contents(self, ffw_triangle):
         buffer = io.StringIO()
-        assert write_closure_csv(ffw_triangle, buffer) == 3
+        assert write_closure_csv(ffw_triangle, census(ffw_triangle), buffer) == 3
         rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
         row_a = rows[0]
         assert row_a["wedges_oo"] == "1"
@@ -177,7 +178,7 @@ class TestPerNodeCsv:
 
     def test_clustering_csv_contents(self, ffw_triangle):
         buffer = io.StringIO()
-        assert write_clustering_csv(ffw_triangle, buffer) == 3
+        assert write_clustering_csv(ffw_triangle, census(ffw_triangle), buffer) == 3
         rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
         row_b = rows[1]
         assert row_b["pairs_oi"] == "1"
@@ -189,6 +190,11 @@ class TestLabels:
     def test_read_labels_with_and_without_header(self):
         assert read_labels(io.StringIO("token,label\na,x\nb,y\n")) == {"a": "x", "b": "y"}
         assert read_labels(io.StringIO("a,x\nb,y\n")) == {"a": "x", "b": "y"}
+
+    def test_read_labels_ignores_byte_order_mark(self):
+        assert read_labels(io.StringIO("\ufefftoken,label\na,x\n")) == {"a": "x"}
+        assert read_labels(io.StringIO("\ufeffa,x\nb,y\n")) == {"a": "x", "b": "y"}
+        assert read_labels(io.StringIO('\ufeff"a",x\n')) == {"a": "x"}
 
     def test_read_labels_bad_row(self):
         with pytest.raises(ValueError):
@@ -237,10 +243,10 @@ class TestSummaryReport:
         assert summary["nodes"] == 3
         assert summary["edges"] == 3
         assert summary["moments"]["m_io"] == pytest.approx(1 / 3)
-        averages = average_closure(ffw_triangle)
+        averages = average_closure(census(ffw_triangle))
         for key in ALL_KEYS:
             assert summary["average_closure"][key.label] == averages[key]
-        means = mean_clustering(ffw_triangle)
+        means = mean_clustering(census(ffw_triangle))
         assert summary["mean_clustering"]["clustering_oi"] == means[(OUT, IN)]
         assert summary["undefined_wedge_heads"] == {"ii": 2, "io": 1, "oi": 1, "oo": 2}
 

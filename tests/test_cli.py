@@ -1,9 +1,11 @@
 import csv
 import json
+import sys
+import warnings
 
 import pytest
 
-from dirclosure import degree_moments, expected_average_closure, load_edge_list, summary_report
+from dirclosure import closure, degree_moments, expected_average_closure, load_edge_list, summary_report
 from dirclosure.cli import main
 
 FFW = "a b\nb c\na c\n"
@@ -155,6 +157,52 @@ class TestFeaturesCommand:
         assert rows[0]["label"] == "source"
         assert rows[1]["label"] == ""
         assert id_map.read_text().startswith("dense_id,token\n")
+
+
+    def test_labels_with_byte_order_mark(self, ffw_file, tmp_path):
+        labels_path = tmp_path / "labels.csv"
+        labels_path.write_text("\ufeffa,source\nc,sink\n", encoding="utf-8")
+        out_path = tmp_path / "features.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unmatched label token would warn
+            assert run(["features", ffw_file, "--labels", labels_path, "--out", out_path]) == 0
+        lines = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert [row["label"] for row in rows] == ["source", "", "sink"]
+
+
+class TestOneCensusPerGraph:
+    """Each subcommand counts wedges once per graph it analyses."""
+
+    @pytest.fixture
+    def census_calls(self, monkeypatch):
+        calls = []
+        original = closure.census
+
+        def counting(g):
+            calls.append(g.n)
+            return original(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dirclosure" and getattr(module, "census", None) is original:
+                monkeypatch.setattr(module, "census", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "subcommand, per_node", [("stats", False), ("features", False), ("closure", True), ("clustering", True)]
+    )
+    def test_one_census(self, subcommand, per_node, ffw_file, tmp_path, census_calls):
+        argv = [subcommand, ffw_file, "--out", tmp_path / "out.txt"]
+        if per_node:
+            argv += ["--per-node", tmp_path / "per_node.csv"]
+        assert run(argv) == 0
+        assert census_calls == [3]
+
+    def test_nullmodel_one_census_per_sample_plus_input(self, tmp_path, census_calls):
+        path = tmp_path / "square.txt"
+        path.write_text("a b\nb c\nc d\nd a\na c\n")
+        assert run(["nullmodel", path, "--samples", "3", "--swaps", "20", "--out", tmp_path / "null.tsv"]) == 0
+        assert census_calls == [4] * 4
 
 
 class TestCorrCommand:

@@ -19,12 +19,13 @@ from dirclosure import (
     closure_profiles,
     degree_moments,
     global_closure,
+    mean_clustering,
 )
 
 from dirclosure import closure
 
 from .conftest import random_digraph
-from .oracles import brute_closure_counts
+from .oracles import brute_closure_counts, brute_clustering_counts
 
 KEY_IOI = CoefficientKey(IN, OUT, IN)
 KEY_IOO = CoefficientKey(IN, OUT, OUT)
@@ -105,14 +106,46 @@ class TestCensus:
         monkeypatch.setattr(closure, "PAIR_CHUNK", 3)
         for g, expected in zip(graphs, one_pass):
             chunked = census(g)
-            for field in ("wedges", "closed", "clustering"):
+            for field in ("wedges", "closed", "pairs", "clustering"):
                 for key, counts in getattr(expected, field).items():
                     assert getattr(chunked, field)[key].tolist() == counts.tolist()
 
     def test_edgeless_graph_counts_zero(self):
         counts = census(DirectedGraph(4, []))
-        for field in (counts.wedges, counts.closed, counts.clustering):
+        for field in (counts.wedges, counts.closed, counts.pairs, counts.clustering):
             assert all(values.tolist() == [0] * 4 for values in field.values())
+
+
+class TestAggregatesExact:
+    """The census aggregates equal per-node recomputations from the
+    brute-force counts bit for bit: exact sums of the defined ratios over
+    n, and ratios of integer totals."""
+
+    def test_equal_to_oracle_recomputation(self):
+        rng = random.Random(1905)
+        undefined_heads = 0
+        for _ in range(40):
+            core = random_digraph(rng, rng.randint(1, 20), rng.uniform(0.02, 0.5))
+            g = DirectedGraph(core.n + rng.randint(0, 3), list(core.edges()))  # trailing isolated nodes
+            edges = list(g.edges())
+            wedges, closed = brute_closure_counts(edges)
+            pairs, clustering_closed = brute_clustering_counts(g.n, edges)
+            counts = census(g)
+            averages, globals_, means = average_closure(counts), global_closure(counts), mean_clustering(counts)
+            for key in ALL_KEYS:
+                x, y, z = str(key.x), str(key.y), str(key.z)
+                w = [wedges[(u, x, y)] for u in range(g.n)]
+                c = [closed[(u, x, y, z)] for u in range(g.n)]
+                assert averages[key] == math.fsum(ci / wi for ci, wi in zip(c, w) if wi) / g.n
+                assert globals_[key] == (sum(c) / sum(w) if sum(w) else None)
+                undefined_heads += w.count(0)
+            for xy in WEDGE_TYPES:
+                x, y = str(xy[0]), str(xy[1])
+                d = [pairs[(u, x, y)] for u in range(g.n)]
+                c = [clustering_closed[(u, x, y)] for u in range(g.n)]
+                assert counts.pairs[xy].tolist() == d
+                assert means[xy] == math.fsum(ci / di for ci, di in zip(c, d) if di) / g.n
+        assert undefined_heads > 0
 
 
 class TestLocalClosure:
@@ -142,31 +175,31 @@ class TestLocalClosure:
 
 class TestAverageClosure:
     def test_feedforward_triangle(self, ffw_triangle):
-        averages = average_closure(ffw_triangle)
+        averages = average_closure(census(ffw_triangle))
         assert averages[KEY_OOO] == pytest.approx(1 / 3, abs=1e-15)
         assert averages[KEY_IOI] == pytest.approx(1 / 3, abs=1e-15)
         assert averages[KEY_IOO] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_cycle(self, cycle3):
-        averages = average_closure(cycle3)
+        averages = average_closure(census(cycle3))
         assert averages[CoefficientKey(OUT, OUT, IN)] == pytest.approx(1.0)
         assert averages[KEY_OOO] == 0.0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            average_closure(DirectedGraph(0, []))
+            average_closure(census(DirectedGraph(0, [])))
 
 
 class TestGlobalClosure:
     def test_feedforward_triangle(self, ffw_triangle):
-        globals_ = global_closure(ffw_triangle)
+        globals_ = global_closure(census(ffw_triangle))
         assert globals_[KEY_OOO] == 1.0
         assert globals_[KEY_III] == 1.0
         assert globals_[KEY_IOI] == 0.5
         assert globals_[KEY_IOO] == 0.5
 
     def test_cycle_undefined_types(self, cycle3):
-        globals_ = global_closure(cycle3)
+        globals_ = global_closure(census(cycle3))
         for key in ALL_KEYS:
             if key.wedge_type in ((IN, OUT), (OUT, IN)):
                 assert globals_[key] is None
@@ -178,7 +211,7 @@ class TestGlobalClosure:
         for _ in range(20):
             g = random_digraph(rng, rng.randint(1, 25), 0.25)
             profiles = closure_profiles(g)
-            globals_ = global_closure(g, profiles)
+            globals_ = global_closure(census(g))
             for key in ALL_KEYS:
                 weights = [p.wedges[key.wedge_type] for p in profiles]
                 if sum(weights) == 0:
@@ -208,18 +241,18 @@ class TestWedgeTotalsVsMoments:
 
 class TestSymmetry:
     def test_triangle_residuals_exactly_zero(self, ffw_triangle):
-        residuals = check_symmetry(global_closure(ffw_triangle))
+        residuals = check_symmetry(global_closure(census(ffw_triangle)))
         assert all(r == 0.0 for r in residuals.values())
 
     def test_random_graphs_within_tolerance(self):
         rng = random.Random(4242)
         for _ in range(200):
             g = random_digraph(rng, rng.randint(2, 50), rng.uniform(0.02, 0.3))
-            residuals = check_symmetry(global_closure(g))
+            residuals = check_symmetry(global_closure(census(g)))
             assert all(r <= 1e-12 for r in residuals.values())
 
     def test_both_undefined_gives_zero(self, cycle3):
-        residuals = check_symmetry(global_closure(cycle3))
+        residuals = check_symmetry(global_closure(census(cycle3)))
         io_pair = SYMMETRIC_PAIRS[2]
         assert residuals[io_pair] == 0.0
 
@@ -251,7 +284,7 @@ def test_defined_coefficients_lie_in_unit_interval(g):
 @given(hypothesis_digraphs())
 @settings(max_examples=80, deadline=None)
 def test_symmetry_holds_on_arbitrary_graphs(g):
-    residuals = check_symmetry(global_closure(g))
+    residuals = check_symmetry(global_closure(census(g)))
     assert all(r <= 1e-12 for r in residuals.values())
 
 
@@ -262,8 +295,8 @@ def test_results_independent_of_node_relabeling(g):
     perm = list(range(g.n))
     rng.shuffle(perm)
     relabeled = DirectedGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    original = global_closure(g)
-    shuffled = global_closure(relabeled)
+    original = global_closure(census(g))
+    shuffled = global_closure(census(relabeled))
     for key in ALL_KEYS:
         if original[key] is None:
             assert shuffled[key] is None

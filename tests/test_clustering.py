@@ -7,6 +7,7 @@ from dirclosure import (
     OUT,
     WEDGE_TYPES,
     DirectedGraph,
+    census,
     closure_profiles,
     clustering_profiles,
     mean_clustering,
@@ -66,7 +67,7 @@ class TestLocalClustering:
 
 class TestMeanClustering:
     def test_feedforward_triangle_means(self, ffw_triangle):
-        means = mean_clustering(ffw_triangle)
+        means = mean_clustering(census(ffw_triangle))
         assert means[(OUT, IN)] == pytest.approx(1 / 3, abs=1e-15)
         assert means[(IN, OUT)] == 0.0
         assert means[(IN, IN)] == pytest.approx(1 / 6, abs=1e-15)
@@ -74,12 +75,12 @@ class TestMeanClustering:
 
     def test_triangle_free_graph_all_zero(self):
         g = graph_from_text("a b\nb c\nc d\nd a")
-        means = mean_clustering(g)
+        means = mean_clustering(census(g))
         assert all(value == 0.0 for value in means.values())
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            mean_clustering(DirectedGraph(0, []))
+            mean_clustering(census(DirectedGraph(0, [])))
 
 
 class TestCenterHeadDuality:

@@ -17,6 +17,7 @@ from dirclosure import (
     SwapChainConfig,
     SwapResult,
     average_closure,
+    census,
     default_attempts,
     degree_moments,
     expected_average_closure,
@@ -293,7 +294,7 @@ class TestNullExperiment:
         cfg = SwapChainConfig(attempts=400, seed=3)
         report = run_null_experiment(g, 1, cfg)
         sampled, _ = run_swap_chain(g, SwapChainConfig(attempts=400, seed=sample_seed(3, 0)))
-        averages = average_closure(sampled)
+        averages = average_closure(census(sampled))
         for key in ALL_KEYS:
             assert report.average[key].mean == averages[key]
 
@@ -308,7 +309,7 @@ class TestNullExperiment:
     def test_theory_and_empirical_attached(self, experiment):
         g, _, report = experiment
         mom = degree_moments(g)
-        empirical = average_closure(g)
+        empirical = average_closure(census(g))
         for key in ALL_KEYS:
             assert report.average[key].theory == expected_average_closure(mom, key)
             assert report.average[key].empirical == empirical[key]
@@ -344,7 +345,7 @@ class TestNullExperiment:
             sampled, _ = run_swap_chain(
                 g, SwapChainConfig(attempts=500, seed=sample_seed(8, k))
             )
-            residuals = check_symmetry(global_closure(sampled))
+            residuals = check_symmetry(global_closure(census(sampled)))
             assert all(r <= 1e-12 for r in residuals.values())
 
 
